@@ -195,30 +195,47 @@ impl LearnedWmp {
     /// # Errors
     /// Propagates assignment/prediction errors.
     pub fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
-        let assignments: Vec<usize> =
-            queries.iter().map(|r| self.templates.assign(r)).collect::<MlResult<_>>()?;
-        let h = build_histogram(
-            &assignments,
-            self.templates.n_templates(),
-            self.config.histogram_mode,
-        )?;
-        Ok(ResourceVector::from_partial(&self.regressor.predict_row_multi(&h)?))
+        self.resources_of(&self.histogram(queries)?)
+    }
+
+    /// IN4–IN5 for a workload whose members were already assigned by
+    /// [`LearnedWmp::assign_template`]: bit-identical to
+    /// [`LearnedWmp::predict_resources`] on those members. A serving engine
+    /// assigns each query as it arrives and scores the window from the ids.
+    ///
+    /// # Errors
+    /// Returns [`MlError::DimensionMismatch`] for an id `>= k`, and
+    /// propagates regressor errors.
+    pub fn predict_assigned(&self, templates: &[usize]) -> MlResult<ResourceVector> {
+        self.resources_of(&self.template_histogram(templates)?)
     }
 
     /// Predicts the memory demand (MB) of one workload — the memory
-    /// projection of [`LearnedWmp::predict_resources`].
+    /// projection of [`LearnedWmp::predict_resources`] (the regressor's
+    /// head 0).
     ///
     /// # Errors
     /// Propagates assignment/prediction errors.
     pub fn predict_workload(&self, queries: &[&QueryRecord]) -> MlResult<f64> {
-        let assignments: Vec<usize> =
+        self.regressor.predict_row(&self.histogram(queries)?)
+    }
+
+    /// IN3–IN4: assigns every query to its template and builds the
+    /// workload's histogram.
+    fn histogram(&self, queries: &[&QueryRecord]) -> MlResult<Vec<f64>> {
+        let templates: Vec<usize> =
             queries.iter().map(|r| self.templates.assign(r)).collect::<MlResult<_>>()?;
-        let h = build_histogram(
-            &assignments,
-            self.templates.n_templates(),
-            self.config.histogram_mode,
-        )?;
-        self.regressor.predict_row(&h)
+        self.template_histogram(&templates)
+    }
+
+    /// IN4: the histogram of assigned template ids.
+    fn template_histogram(&self, templates: &[usize]) -> MlResult<Vec<f64>> {
+        build_histogram(templates, self.templates.n_templates(), self.config.histogram_mode)
+    }
+
+    /// IN5: every resource axis the regressor predicts from a histogram.
+    fn resources_of(&self, h: &[f64]) -> MlResult<ResourceVector> {
+        Ok(ResourceVector::from_partial(&self.regressor.predict_row_multi(h)?))
     }
 
     /// Predicts every workload in a batched test set (indices into `records`).
@@ -253,9 +270,7 @@ impl LearnedWmp {
         workloads: &[Workload],
     ) -> MlResult<Vec<ResourceVector>> {
         let hs = self.workload_histograms(records, workloads)?;
-        hs.iter()
-            .map(|h| Ok(ResourceVector::from_partial(&self.regressor.predict_row_multi(h)?)))
-            .collect()
+        hs.iter().map(|h| self.resources_of(h)).collect()
     }
 
     /// IN1–IN4 for a batched test set: builds every workload's template
@@ -267,7 +282,6 @@ impl LearnedWmp {
         workloads: &[Workload],
     ) -> MlResult<Vec<Vec<f64>>> {
         let mut assignments: Vec<Option<usize>> = vec![None; records.len()];
-        let k = self.templates.n_templates();
         let mut hs = Vec::with_capacity(workloads.len());
         let mut member = Vec::new();
         for w in workloads {
@@ -289,7 +303,7 @@ impl LearnedWmp {
                 };
                 member.push(a);
             }
-            hs.push(build_histogram(&member, k, self.config.histogram_mode)?);
+            hs.push(self.template_histogram(&member)?);
         }
         Ok(hs)
     }

@@ -123,6 +123,20 @@ pub trait WorkloadPredictor: Send + Sync {
     fn assign_template(&self, _query: &QueryRecord) -> MlResult<Option<usize>> {
         Ok(None)
     }
+
+    /// Predicts a workload from the template ids this model's
+    /// [`WorkloadPredictor::assign_template`] gave its members: the
+    /// histogram and regressor steps of
+    /// [`WorkloadPredictor::predict_resources`] alone, bit-identical to it
+    /// on those members. A serving engine assigns each query as it arrives
+    /// and only this step is left when the window closes.
+    ///
+    /// `None` (the default, kept by the SingleWMP families) when the model
+    /// does not predict from templates; callers then use
+    /// `predict_resources` on the records.
+    fn predict_assigned(&self, _templates: &[usize]) -> Option<MlResult<ResourceVector>> {
+        None
+    }
 }
 
 impl WorkloadPredictor for LearnedWmp {
@@ -162,6 +176,10 @@ impl WorkloadPredictor for LearnedWmp {
 
     fn assign_template(&self, query: &QueryRecord) -> MlResult<Option<usize>> {
         LearnedWmp::assign_template(self, query).map(Some)
+    }
+
+    fn predict_assigned(&self, templates: &[usize]) -> Option<MlResult<ResourceVector>> {
+        Some(LearnedWmp::predict_assigned(self, templates))
     }
 }
 
@@ -258,6 +276,10 @@ impl WorkloadPredictor for OnlineWmp {
             None => Ok(None),
         }
     }
+
+    fn predict_assigned(&self, templates: &[usize]) -> Option<MlResult<ResourceVector>> {
+        self.model().map(|m| LearnedWmp::predict_assigned(m, templates))
+    }
 }
 
 #[cfg(test)]
@@ -302,6 +324,33 @@ mod tests {
         assert_eq!(names, vec!["LearnedWMP-Ridge", "SingleWMP-Ridge", "SingleWMP-DBMS"]);
         assert_eq!(predictors[2].footprint_bytes(), 0);
         assert!(predictors[0].footprint_bytes() > 0);
+    }
+
+    #[test]
+    fn assigned_templates_predict_like_the_records() {
+        let log = wmp_workloads::tpcc::generate(300, 21).unwrap();
+        let refs: Vec<&QueryRecord> = log.records.iter().collect();
+        let learned = LearnedWmp::builder()
+            .model(ModelKind::Xgb)
+            .templates(TemplateSpec::PlanKMeans { k: 6, seed: 2 })
+            .fit(&log)
+            .unwrap();
+        let p: &dyn WorkloadPredictor = &learned;
+        for w in refs.chunks(10) {
+            let ids: Vec<usize> =
+                w.iter().map(|r| p.assign_template(r).unwrap().unwrap()).collect();
+            let assigned = p.predict_assigned(&ids).unwrap().unwrap();
+            let direct = p.predict_resources(w).unwrap();
+            assert_eq!(assigned.as_array().map(f64::to_bits), direct.as_array().map(f64::to_bits));
+            assert_eq!(assigned.memory_mb.to_bits(), p.predict_workload(w).unwrap().to_bits());
+        }
+        assert!(matches!(
+            p.predict_assigned(&[6]),
+            Some(Err(wmp_mlkit::MlError::DimensionMismatch { .. }))
+        ));
+        let single = SingleWmp::train(ModelKind::Ridge, &refs).unwrap();
+        assert!(single.predict_assigned(&[0]).is_none());
+        assert!(SingleWmpDbms.predict_assigned(&[0]).is_none());
     }
 
     #[test]

@@ -77,6 +77,19 @@ fn subsample_rows(rows: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
     rows.into_iter().step_by(stride).collect()
 }
 
+/// A record's plan features, rejected with [`MlError::NonFinite`] unless
+/// every value is finite. A NaN makes every centroid distance NaN, and a
+/// nearest-centroid scan would then return template 0 as if it were an
+/// answer. The check runs on every assignment, so it tests all values
+/// without branching and looks for the culprit only on failure.
+fn finite_features(record: &QueryRecord) -> MlResult<&[f64]> {
+    if record.features.iter().fold(true, |ok, v| ok & v.is_finite()) {
+        return Ok(&record.features);
+    }
+    let index = record.features.iter().position(|v| !v.is_finite()).unwrap_or(0);
+    Err(MlError::NonFinite { what: "query plan features", index })
+}
+
 /// The paper's template learner: k-means over standardized plan features.
 #[derive(Debug, Clone)]
 pub struct PlanKMeansTemplates {
@@ -151,7 +164,7 @@ impl TemplateLearner for PlanKMeansTemplates {
 
     fn assign(&self, record: &QueryRecord) -> MlResult<usize> {
         let km = self.kmeans.as_ref().ok_or(MlError::NotFitted("PlanKMeansTemplates"))?;
-        let mut row = record.features.clone();
+        let mut row = finite_features(record)?.to_vec();
         self.scaler.transform_row(&mut row)?;
         km.predict_row(&row)
     }
@@ -560,7 +573,7 @@ impl TemplateLearner for DbscanTemplates {
         if !self.fitted {
             return Err(MlError::NotFitted("DbscanTemplates"));
         }
-        let mut row = record.features.clone();
+        let mut row = finite_features(record)?.to_vec();
         self.scaler.transform_row(&mut row)?;
         let mut best = (0usize, f64::INFINITY);
         for (i, p) in self.points.row_iter().enumerate() {
@@ -691,6 +704,33 @@ mod tests {
         let empty: Vec<&QueryRecord> = Vec::new();
         assert!(PlanKMeansTemplates::new(4, 0).fit(&empty, &log.catalog).is_err());
         assert!(RuleBasedTemplates::new().fit(&empty, &log.catalog).is_err());
+    }
+
+    #[test]
+    fn non_finite_features_are_rejected_not_assigned() {
+        let log = sample_log();
+        let refs: Vec<&QueryRecord> = log.records.iter().collect();
+        let mut kmeans = PlanKMeansTemplates::new(8, 1);
+        kmeans.fit(&refs, &log.catalog).unwrap();
+        let mut dbscan = DbscanTemplates::new(1.0, 4);
+        dbscan.fit(&refs, &log.catalog).unwrap();
+        let learners: [&dyn TemplateLearner; 2] = [&kmeans, &dbscan];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut record = log.records[0].clone();
+            record.features[5] = bad;
+            for learner in learners {
+                assert_eq!(
+                    learner.assign(&record).unwrap_err(),
+                    MlError::NonFinite { what: "query plan features", index: 5 },
+                    "{} on {bad}",
+                    learner.name()
+                );
+            }
+        }
+        // Finite records still assign as before.
+        for learner in learners {
+            assert!(learner.assign(refs[0]).unwrap() < learner.n_templates());
+        }
     }
 
     #[test]

@@ -31,6 +31,14 @@ pub enum MlError {
     /// A model artifact could not be encoded or decoded (I/O failure,
     /// truncation, corruption, or an unsupported format version).
     Codec(String),
+    /// An input value is NaN or infinite where only finite values have a
+    /// meaning (e.g. a query's plan features at template assignment).
+    NonFinite {
+        /// What the values describe, e.g. "query plan features".
+        what: &'static str,
+        /// Position of the first non-finite value.
+        index: usize,
+    },
 }
 
 impl fmt::Display for MlError {
@@ -45,6 +53,9 @@ impl fmt::Display for MlError {
             MlError::InvalidHyperparameter(msg) => write!(f, "invalid hyperparameter: {msg}"),
             MlError::NumericalFailure(msg) => write!(f, "numerical failure: {msg}"),
             MlError::Codec(msg) => write!(f, "codec error: {msg}"),
+            MlError::NonFinite { what, index } => {
+                write!(f, "non-finite input: {what} value {index} is NaN or infinite")
+            }
         }
     }
 }
@@ -72,6 +83,8 @@ mod tests {
         assert!(MlError::EmptyInput("x").to_string().contains("x"));
         assert!(MlError::InvalidHyperparameter("k = 0".into()).to_string().contains("k = 0"));
         assert!(MlError::NumericalFailure("nan loss".into()).to_string().contains("nan"));
+        let e = MlError::NonFinite { what: "query plan features", index: 3 };
+        assert!(e.to_string().contains("query plan features value 3"), "{e}");
     }
 
     #[test]

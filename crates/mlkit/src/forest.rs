@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::binned::BinnedMatrix;
 use crate::error::{dim_mismatch, MlError, MlResult};
-use crate::grow::{grow_tree, GrowParams, Tree};
+use crate::grow::{grow_tree, GrowParams, Tree, TreeArena};
 use crate::linalg::Matrix;
 use crate::traits::{Footprint, Regressor};
 
@@ -54,14 +54,14 @@ impl Default for RandomForestConfig {
 #[derive(Debug, Clone)]
 pub struct RandomForest {
     config: RandomForestConfig,
-    trees: Vec<Tree>,
+    trees: TreeArena,
     n_features: usize,
 }
 
 impl RandomForest {
     /// Creates an unfitted forest.
     pub fn new(config: RandomForestConfig) -> Self {
-        RandomForest { config, trees: Vec::new(), n_features: 0 }
+        RandomForest { config, trees: TreeArena::default(), n_features: 0 }
     }
 
     /// Unfitted forest with default hyper-parameters.
@@ -76,7 +76,7 @@ impl RandomForest {
 
     /// Total node count across the ensemble.
     pub fn total_nodes(&self) -> usize {
-        self.trees.iter().map(Tree::n_nodes).sum()
+        self.trees.n_nodes()
     }
 
     /// Deserializes a model written by [`Regressor::save_params`].
@@ -98,10 +98,8 @@ impl RandomForest {
         };
         let n_features = c::read_usize(r)?;
         let n = c::read_len(r, "forest trees")?;
-        let mut trees = Vec::with_capacity(n);
-        for _ in 0..n {
-            trees.push(Tree::read_from(r)?);
-        }
+        let trees = (0..n).map(|_| Tree::read_from(r)).collect::<MlResult<Vec<_>>>()?;
+        let trees = TreeArena::decode(&trees, n_features)?;
         Ok(RandomForest { config, trees, n_features })
     }
 }
@@ -166,7 +164,9 @@ impl Regressor for RandomForest {
                 });
             }
         });
-        self.trees = trees.into_iter().map(|t| t.expect("every tree slot filled")).collect();
+        let trees: Vec<Tree> =
+            trees.into_iter().map(|t| t.expect("every tree slot filled")).collect();
+        self.trees = TreeArena::new(&trees);
         self.n_features = x.cols();
         Ok(())
     }
@@ -181,7 +181,7 @@ impl Regressor for RandomForest {
                 format!("row.len() == {}", row.len()),
             ));
         }
-        let sum: f64 = self.trees.iter().map(|t| t.predict_row(row)).sum();
+        let sum: f64 = self.trees.leaves(row).sum();
         Ok(sum / self.trees.len() as f64)
     }
 
@@ -204,7 +204,7 @@ impl Regressor for RandomForest {
         c::write_usize(w, self.config.n_threads)?;
         c::write_usize(w, self.n_features)?;
         c::write_usize(w, self.trees.len())?;
-        for tree in &self.trees {
+        for tree in self.trees.trees() {
             tree.write_to(w)?;
         }
         Ok(())
@@ -295,6 +295,21 @@ mod tests {
         ));
         rf.fit(&x, &y).unwrap();
         assert!(rf.predict_row(&[0.0]).is_err());
+    }
+
+    #[test]
+    fn arena_predicts_like_the_per_tree_walk() {
+        use crate::grow::testing;
+        fn reference(rf: &RandomForest, row: &[f64]) -> f64 {
+            let sum: f64 = rf.trees.trees().map(|t| t.predict_row(row)).sum();
+            sum / rf.trees.len() as f64
+        }
+        let (x, y) = testing::data();
+        let mut rf = RandomForest::new(RandomForestConfig { n_trees: 20, ..Default::default() });
+        rf.fit(&x, &y).unwrap();
+        testing::assert_walks_like_reference(&rf, RandomForest::read_params, reference);
+        rf.trees = TreeArena::new(&testing::mixed_trees());
+        testing::assert_walks_like_reference(&rf, RandomForest::read_params, reference);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use crate::binned::BinnedMatrix;
 use crate::error::{dim_mismatch, MlError, MlResult};
-use crate::grow::{grow_tree, GrowParams, Tree};
+use crate::grow::{grow_tree, GrowParams, Tree, TreeArena};
 use crate::linalg::Matrix;
 use crate::traits::{Footprint, Regressor};
 
@@ -68,14 +68,14 @@ impl Default for GradientBoostingConfig {
 pub struct GradientBoosting {
     config: GradientBoostingConfig,
     base_score: f64,
-    trees: Vec<Tree>,
+    trees: TreeArena,
     n_features: usize,
 }
 
 impl GradientBoosting {
     /// Creates an unfitted booster.
     pub fn new(config: GradientBoostingConfig) -> Self {
-        GradientBoosting { config, base_score: 0.0, trees: Vec::new(), n_features: 0 }
+        GradientBoosting { config, base_score: 0.0, trees: TreeArena::default(), n_features: 0 }
     }
 
     /// Unfitted booster with default hyper-parameters.
@@ -90,7 +90,7 @@ impl GradientBoosting {
 
     /// Total node count across the ensemble.
     pub fn total_nodes(&self) -> usize {
-        self.trees.iter().map(Tree::n_nodes).sum()
+        self.trees.n_nodes()
     }
 
     /// Deserializes a model written by [`Regressor::save_params`].
@@ -116,10 +116,8 @@ impl GradientBoosting {
         let base_score = c::read_f64(r)?;
         let n_features = c::read_usize(r)?;
         let n = c::read_len(r, "boosting trees")?;
-        let mut trees = Vec::with_capacity(n);
-        for _ in 0..n {
-            trees.push(Tree::read_from(r)?);
-        }
+        let trees = (0..n).map(|_| Tree::read_from(r)).collect::<MlResult<Vec<_>>>()?;
+        let trees = TreeArena::decode(&trees, n_features)?;
         Ok(GradientBoosting { config, base_score, trees, n_features })
     }
 }
@@ -170,7 +168,7 @@ impl Regressor for GradientBoosting {
         };
         self.base_score = y.iter().sum::<f64>() / n as f64;
         self.n_features = x.cols();
-        self.trees.clear();
+        let mut trees = Vec::with_capacity(c.n_estimators);
 
         let mut rng = StdRng::seed_from_u64(c.seed);
         let mut pred = vec![self.base_score; n];
@@ -193,7 +191,7 @@ impl Regressor for GradientBoosting {
             for (i, p) in pred.iter_mut().enumerate() {
                 *p += c.learning_rate * tree.predict_row(x.row(i));
             }
-            self.trees.push(tree);
+            trees.push(tree);
             if c.tol > 0.0 {
                 let mse =
                     y.iter().zip(&pred).map(|(t, p)| (t - p) * (t - p)).sum::<f64>() / n as f64;
@@ -204,6 +202,7 @@ impl Regressor for GradientBoosting {
                 prev_rmse = cur;
             }
         }
+        self.trees = TreeArena::new(&trees);
         Ok(())
     }
 
@@ -217,11 +216,9 @@ impl Regressor for GradientBoosting {
                 format!("row.len() == {}", row.len()),
             ));
         }
-        let mut p = self.base_score;
-        for t in &self.trees {
-            p += self.config.learning_rate * t.predict_row(row);
-        }
-        Ok(p)
+        // Tree order and `base + lr · leaf` per tree, as in training.
+        let lr = self.config.learning_rate;
+        Ok(self.trees.leaves(row).fold(self.base_score, |p, leaf| p + lr * leaf))
     }
 
     fn name(&self) -> &'static str {
@@ -244,7 +241,7 @@ impl Regressor for GradientBoosting {
         c::write_f64(w, self.base_score)?;
         c::write_usize(w, self.n_features)?;
         c::write_usize(w, self.trees.len())?;
-        for tree in &self.trees {
+        for tree in self.trees.trees() {
             tree.write_to(w)?;
         }
         Ok(())
@@ -366,6 +363,28 @@ mod tests {
         ));
         gb.fit(&x, &y).unwrap();
         assert!(gb.predict_row(&[0.0, 1.0]).is_err());
+    }
+
+    #[test]
+    fn arena_predicts_like_the_per_tree_walk() {
+        use crate::grow::testing;
+        fn reference(gb: &GradientBoosting, row: &[f64]) -> f64 {
+            let mut p = gb.base_score;
+            for t in gb.trees.trees() {
+                p += gb.config.learning_rate * t.predict_row(row);
+            }
+            p
+        }
+        let (x, y) = testing::data();
+        let mut gb = GradientBoosting::new(GradientBoostingConfig {
+            n_estimators: 30,
+            subsample: 0.7,
+            ..Default::default()
+        });
+        gb.fit(&x, &y).unwrap();
+        testing::assert_walks_like_reference(&gb, GradientBoosting::read_params, reference);
+        gb.trees = TreeArena::new(&testing::mixed_trees());
+        testing::assert_walks_like_reference(&gb, GradientBoosting::read_params, reference);
     }
 
     #[test]

@@ -32,8 +32,13 @@ pub enum TreeNode {
     },
 }
 
-/// A grown regression tree (flat arena, root at index 0).
-#[derive(Debug, Clone, Default)]
+/// A grown regression tree (flat arena, root at index 0). Every split's
+/// children lie strictly after it in the arena.
+///
+/// This is the grower's output and the codec's unit. The fitted tree
+/// learners serve from one packed node array per model instead, which must
+/// match [`Tree::predict_row`], the reference walk, bit for bit.
+#[derive(Debug, Clone)]
 pub struct Tree {
     nodes: Vec<TreeNode>,
 }
@@ -143,6 +148,220 @@ impl Tree {
         } else {
             rec(&self.nodes, 0)
         }
+    }
+}
+
+/// One node of a [`TreeArena`]. A leaf is a node whose children are itself,
+/// so a walk that reaches it stays there.
+#[derive(Debug, Clone, Copy)]
+struct PackedNode {
+    /// Split threshold ("left iff `row[feature] <= value`"), or the leaf's
+    /// value.
+    value: f64,
+    /// Feature the split tests (0 for a leaf, which goes nowhere either way).
+    feature: u32,
+    left: u32,
+    right: u32,
+}
+
+/// Trees walked together per chunk: independent node loads the CPU can
+/// overlap.
+const CHUNK: usize = 8;
+
+/// The trees of an ensemble packed into one flat node array — the serving
+/// form of [`DecisionTree`](crate::tree::DecisionTree),
+/// [`RandomForest`](crate::forest::RandomForest) and
+/// [`GradientBoosting`](crate::gbdt::GradientBoosting).
+///
+/// [`TreeArena::leaves`] walks eight trees at a time, level by level,
+/// for exactly `depth` steps: leaves loop to themselves, so a
+/// shallow tree simply stays on its leaf, and no step depends on the data
+/// for when to stop. It holds the same nodes as the trees it was built from
+/// (the node count behind `footprint_bytes` is unchanged) and unpacks back
+/// into them for the codec ([`TreeArena::trees`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TreeArena {
+    nodes: Vec<PackedNode>,
+    /// Arena index of each tree's root, in tree order.
+    roots: Vec<u32>,
+    /// Deepest root-to-leaf path over every tree: the steps every walk
+    /// takes.
+    depth: usize,
+}
+
+impl TreeArena {
+    /// Packs `trees`, in order, into one arena.
+    pub(crate) fn new(trees: &[Tree]) -> Self {
+        let mut arena = TreeArena {
+            nodes: Vec::with_capacity(trees.iter().map(Tree::n_nodes).sum()),
+            roots: Vec::with_capacity(trees.len()),
+            depth: 0,
+        };
+        for tree in trees {
+            let root = arena.nodes.len() as u32;
+            // Children lie after their parent, so one forward pass sees every
+            // node's level before its children's.
+            let mut level = vec![0usize; tree.nodes.len()];
+            for (i, node) in tree.nodes.iter().enumerate() {
+                let me = root + i as u32;
+                arena.nodes.push(match *node {
+                    TreeNode::Leaf { value } => {
+                        arena.depth = arena.depth.max(level[i]);
+                        PackedNode { value, feature: 0, left: me, right: me }
+                    }
+                    TreeNode::Split { feature, threshold, left, right } => {
+                        for child in [left as usize, right as usize] {
+                            level[child] = level[child].max(level[i] + 1);
+                        }
+                        PackedNode {
+                            value: threshold,
+                            feature,
+                            left: root + left,
+                            right: root + right,
+                        }
+                    }
+                });
+            }
+            arena.roots.push(root);
+        }
+        arena
+    }
+
+    /// Packs trees read from an artifact, rejecting what the walk cannot
+    /// serve from rows of `n_features` values: a split on a feature
+    /// `>= n_features`, any tree at all when `n_features` is 0, and more
+    /// nodes than a `u32` index reaches.
+    ///
+    /// # Errors
+    /// Returns [`crate::error::MlError::Codec`] naming the offending tree.
+    pub(crate) fn decode(trees: &[Tree], n_features: usize) -> crate::error::MlResult<Self> {
+        use crate::codec as c;
+        let total: usize = trees.iter().map(Tree::n_nodes).sum();
+        if u32::try_from(total).is_err() {
+            return Err(c::codec_err(format!("{total} tree nodes exceed the u32 arena index")));
+        }
+        if n_features == 0 && !trees.is_empty() {
+            return Err(c::codec_err("tree ensemble over 0 features"));
+        }
+        for (t, tree) in trees.iter().enumerate() {
+            for node in &tree.nodes {
+                if let TreeNode::Split { feature, .. } = node {
+                    if *feature as usize >= n_features {
+                        return Err(c::codec_err(format!(
+                            "tree {t}: split on feature {feature} of {n_features}"
+                        )));
+                    }
+                }
+            }
+        }
+        Ok(TreeArena::new(trees))
+    }
+
+    /// Number of trees.
+    pub(crate) fn len(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// True when the arena holds no tree (an unfitted model).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.roots.is_empty()
+    }
+
+    /// Total node count (splits + leaves) over every tree.
+    pub(crate) fn n_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Number of leaves over every tree.
+    pub(crate) fn n_leaves(&self) -> usize {
+        self.nodes.iter().enumerate().filter(|(i, n)| n.left as usize == *i).count()
+    }
+
+    /// Unpacks the trees, in order — what the codec writes, and the
+    /// reference walk ([`Tree::predict_row`]) the arena must match.
+    pub(crate) fn trees(&self) -> impl Iterator<Item = Tree> + '_ {
+        self.roots.iter().enumerate().map(move |(t, &root)| {
+            let end = self.roots.get(t + 1).map_or(self.nodes.len(), |&r| r as usize);
+            let nodes = self.nodes[root as usize..end]
+                .iter()
+                .enumerate()
+                .map(|(i, n)| {
+                    if n.left as usize == root as usize + i {
+                        TreeNode::Leaf { value: n.value }
+                    } else {
+                        TreeNode::Split {
+                            feature: n.feature,
+                            threshold: n.value,
+                            left: n.left - root,
+                            right: n.right - root,
+                        }
+                    }
+                })
+                .collect();
+            Tree { nodes }
+        })
+    }
+
+    /// The leaf value each tree reaches for `row`, in tree order.
+    ///
+    /// `row` must hold a value for every feature a split tests (the models
+    /// check its width against their training width first).
+    pub(crate) fn leaves<'a>(&'a self, row: &'a [f64]) -> Leaves<'a> {
+        Leaves { arena: self, row, at: [0; CHUNK], next: 0, len: 0, tree: 0 }
+    }
+}
+
+/// Iterator over the leaf values a row reaches, in tree order (see
+/// [`TreeArena::leaves`]). Each chunk of trees is walked when its first
+/// leaf is asked for.
+#[derive(Debug)]
+pub(crate) struct Leaves<'a> {
+    arena: &'a TreeArena,
+    row: &'a [f64],
+    /// Node each tree of the current chunk has reached.
+    at: [u32; CHUNK],
+    /// Next tree of the current chunk to yield, and the chunk's length.
+    next: usize,
+    len: usize,
+    /// First tree of the next chunk.
+    tree: usize,
+}
+
+impl Leaves<'_> {
+    /// Walks the next chunk of trees down to their leaves; `false` when no
+    /// tree is left.
+    fn walk_chunk(&mut self) -> bool {
+        let roots = &self.arena.roots[self.tree..];
+        let n = roots.len().min(CHUNK);
+        if n == 0 {
+            return false;
+        }
+        let (nodes, row) = (&self.arena.nodes, self.row);
+        let at = &mut self.at[..n];
+        at.copy_from_slice(&roots[..n]);
+        for _ in 0..self.arena.depth {
+            for a in at.iter_mut() {
+                let node = &nodes[*a as usize];
+                *a = if row[node.feature as usize] <= node.value { node.left } else { node.right };
+            }
+        }
+        self.tree += n;
+        self.next = 0;
+        self.len = n;
+        true
+    }
+}
+
+impl Iterator for Leaves<'_> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        if self.next == self.len && !self.walk_chunk() {
+            return None;
+        }
+        let value = self.arena.nodes[self.at[self.next] as usize].value;
+        self.next += 1;
+        Some(value)
     }
 }
 
@@ -344,6 +563,87 @@ pub fn grow_tree(
     Tree { nodes: grower.nodes }
 }
 
+/// Shared fixtures for the tests that hold each tree learner's arena to
+/// the per-tree reference walk.
+#[cfg(test)]
+pub(crate) mod testing {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::{grow_tree, GrowParams, Tree};
+    use crate::binned::BinnedMatrix;
+    use crate::error::MlResult;
+    use crate::linalg::Matrix;
+    use crate::traits::Regressor;
+
+    /// Three features, 200 rows, a nonlinear target.
+    pub(crate) fn data() -> (Matrix, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(5);
+        let rows: Vec<Vec<f64>> =
+            (0..200).map(|_| (0..3).map(|_| rng.gen::<f64>() * 4.0).collect()).collect();
+        let y = rows.iter().map(|r| (r[0] * r[1]).sin() * 10.0 + r[2] * r[2]).collect();
+        (Matrix::from_rows(&rows).unwrap(), y)
+    }
+
+    /// Nineteen trees over [`data`] (two full chunks and a partial one) of
+    /// depths 0 through 6 in no order, single leaves included.
+    pub(crate) fn mixed_trees() -> Vec<Tree> {
+        let (x, y) = data();
+        let binned = BinnedMatrix::from_matrix(&x, 32).unwrap();
+        let constant = vec![3.5; y.len()];
+        [6, 0, 2, 5, 1, 6, 3, 0, 4, 2, 6, 1, 5, 0, 3, 6, 2, 4, 1]
+            .iter()
+            .enumerate()
+            .map(|(i, &max_depth)| {
+                let mut rows: Vec<u32> = (0..x.rows() as u32).collect();
+                let params = GrowParams {
+                    max_depth,
+                    feature_subsample: Some(1 + i % 3),
+                    ..GrowParams::default()
+                };
+                // Every fifth tree fits a constant: a single leaf at any depth.
+                let targets = if i % 5 == 4 { &constant } else { &y };
+                grow_tree(&binned, targets, &mut rows, &params, i as u64)
+            })
+            .collect()
+    }
+
+    /// The rows of [`data`] plus rows holding NaN and ±∞ in each feature.
+    pub(crate) fn probes() -> Vec<Vec<f64>> {
+        let (x, _) = data();
+        let mut rows: Vec<Vec<f64>> = x.row_iter().map(<[f64]>::to_vec).collect();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for f in 0..3 {
+                let mut row = vec![1.0, 2.0, 3.0];
+                row[f] = bad;
+                rows.push(row);
+            }
+        }
+        rows
+    }
+
+    /// Asserts that `model` predicts `reference` bit for bit on every probe,
+    /// and so does its codec round trip, whose bytes re-save unchanged.
+    pub(crate) fn assert_walks_like_reference<M: Regressor>(
+        model: &M,
+        read: impl Fn(&mut dyn std::io::Read) -> MlResult<M>,
+        reference: impl Fn(&M, &[f64]) -> f64,
+    ) {
+        let mut bytes = Vec::new();
+        model.save_params(&mut bytes).unwrap();
+        let loaded = read(&mut bytes.as_slice()).unwrap();
+        let mut again = Vec::new();
+        loaded.save_params(&mut again).unwrap();
+        assert_eq!(bytes, again, "codec bytes");
+        for m in [model, &loaded] {
+            for row in probes() {
+                let got = m.predict_row(&row).unwrap();
+                assert_eq!(got.to_bits(), reference(m, &row).to_bits(), "row {row:?}");
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,6 +755,46 @@ mod tests {
         let mut rows: Vec<u32> = vec![];
         let tree = grow_tree(&binned, &[0.0], &mut rows, &GrowParams::default(), 0);
         assert_eq!(tree.predict_row(&[1.0]), 0.0);
+    }
+
+    #[test]
+    fn arena_leaves_match_the_reference_walk() {
+        let trees = testing::mixed_trees();
+        let arena = TreeArena::new(&trees);
+        assert_eq!(arena.len(), trees.len());
+        assert_eq!(arena.n_nodes(), trees.iter().map(Tree::n_nodes).sum::<usize>());
+        assert_eq!(arena.n_leaves(), trees.iter().map(Tree::n_leaves).sum::<usize>());
+        assert_eq!(arena.depth, trees.iter().map(Tree::depth).max().unwrap());
+        let depths: Vec<usize> = trees.iter().map(Tree::depth).collect();
+        assert!(depths.contains(&0) && depths.contains(&6), "{depths:?}");
+        assert!(trees.iter().any(|t| t.n_nodes() == 1), "a single-leaf tree");
+        for row in testing::probes() {
+            let walked: Vec<u64> = arena.leaves(&row).map(f64::to_bits).collect();
+            let reference: Vec<u64> = trees.iter().map(|t| t.predict_row(&row).to_bits()).collect();
+            assert_eq!(walked, reference, "row {row:?}");
+        }
+        assert_eq!(TreeArena::default().leaves(&[1.0]).count(), 0);
+    }
+
+    #[test]
+    fn arena_unpacks_to_the_trees_it_packed() {
+        let trees = testing::mixed_trees();
+        let unpacked: Vec<Tree> = TreeArena::new(&trees).trees().collect();
+        assert_eq!(unpacked.len(), trees.len());
+        for (a, b) in unpacked.iter().zip(&trees) {
+            assert_eq!(a.nodes, b.nodes);
+        }
+    }
+
+    #[test]
+    fn decode_rejects_trees_the_walk_cannot_serve() {
+        let trees = testing::mixed_trees();
+        assert!(TreeArena::decode(&trees, 3).is_ok());
+        assert!(TreeArena::decode(&[], 0).is_ok(), "an unfitted model has no trees");
+        for n_features in [0, 2] {
+            let err = TreeArena::decode(&trees, n_features).unwrap_err();
+            assert!(matches!(err, crate::error::MlError::Codec(_)), "{err}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::binned::BinnedMatrix;
 use crate::error::{dim_mismatch, MlError, MlResult};
-use crate::grow::{grow_tree, GrowParams, Tree};
+use crate::grow::{grow_tree, GrowParams, Tree, TreeArena};
 use crate::linalg::Matrix;
 use crate::traits::{Footprint, Regressor};
 
@@ -29,14 +29,15 @@ impl Default for DecisionTreeConfig {
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
     config: DecisionTreeConfig,
-    tree: Option<Tree>,
+    /// The fitted tree (an empty arena before fit).
+    tree: TreeArena,
     n_features: usize,
 }
 
 impl DecisionTree {
     /// Creates an unfitted tree.
     pub fn new(config: DecisionTreeConfig) -> Self {
-        DecisionTree { config, tree: None, n_features: 0 }
+        DecisionTree { config, tree: TreeArena::default(), n_features: 0 }
     }
 
     /// Unfitted tree with default hyper-parameters.
@@ -46,12 +47,12 @@ impl DecisionTree {
 
     /// Node count of the fitted tree (0 before fit); drives the footprint.
     pub fn n_nodes(&self) -> usize {
-        self.tree.as_ref().map_or(0, Tree::n_nodes)
+        self.tree.n_nodes()
     }
 
     /// Leaf count of the fitted tree (0 before fit).
     pub fn n_leaves(&self) -> usize {
-        self.tree.as_ref().map_or(0, Tree::n_leaves)
+        self.tree.n_leaves()
     }
 
     /// Deserializes a model written by [`Regressor::save_params`].
@@ -68,7 +69,8 @@ impl DecisionTree {
             max_bins: c::read_usize(r)?,
         };
         let n_features = c::read_usize(r)?;
-        let tree = if c::read_bool(r)? { Some(Tree::read_from(r)?) } else { None };
+        let tree = if c::read_bool(r)? { vec![Tree::read_from(r)?] } else { Vec::new() };
+        let tree = TreeArena::decode(&tree, n_features)?;
         Ok(DecisionTree { config, tree, n_features })
     }
 }
@@ -110,20 +112,22 @@ impl Regressor for DecisionTree {
             feature_subsample: None,
         };
         let mut rows: Vec<u32> = (0..x.rows() as u32).collect();
-        self.tree = Some(grow_tree(&binned, y, &mut rows, &params, 0));
+        self.tree = TreeArena::new(&[grow_tree(&binned, y, &mut rows, &params, 0)]);
         self.n_features = x.cols();
         Ok(())
     }
 
     fn predict_row(&self, row: &[f64]) -> MlResult<f64> {
-        let tree = self.tree.as_ref().ok_or(MlError::NotFitted("DecisionTree"))?;
+        if self.tree.is_empty() {
+            return Err(MlError::NotFitted("DecisionTree"));
+        }
         if row.len() != self.n_features {
             return Err(dim_mismatch(
                 format!("row.len() == {}", self.n_features),
                 format!("row.len() == {}", row.len()),
             ));
         }
-        Ok(tree.predict_row(row))
+        self.tree.leaves(row).next().ok_or(MlError::NotFitted("DecisionTree"))
     }
 
     fn name(&self) -> &'static str {
@@ -137,8 +141,8 @@ impl Regressor for DecisionTree {
         c::write_usize(w, self.config.min_samples_leaf)?;
         c::write_usize(w, self.config.max_bins)?;
         c::write_usize(w, self.n_features)?;
-        c::write_bool(w, self.tree.is_some())?;
-        if let Some(tree) = &self.tree {
+        c::write_bool(w, !self.tree.is_empty())?;
+        for tree in self.tree.trees() {
             tree.write_to(w)?;
         }
         Ok(())
@@ -222,6 +226,22 @@ mod tests {
         ));
         dt.fit(&x, &[1.0, 2.0]).unwrap();
         assert!(dt.predict_row(&[1.0, 2.0]).is_err());
+    }
+
+    #[test]
+    fn arena_predicts_like_the_tree_walk() {
+        use crate::grow::testing;
+        fn reference(dt: &DecisionTree, row: &[f64]) -> f64 {
+            dt.tree.trees().next().unwrap().predict_row(row)
+        }
+        let (x, y) = testing::data();
+        let mut dt = DecisionTree::default_config();
+        dt.fit(&x, &y).unwrap();
+        testing::assert_walks_like_reference(&dt, DecisionTree::read_params, reference);
+        for tree in testing::mixed_trees() {
+            dt.tree = TreeArena::new(&[tree]);
+            testing::assert_walks_like_reference(&dt, DecisionTree::read_params, reference);
+        }
     }
 
     #[test]

@@ -34,18 +34,23 @@ pub enum WindowPolicy {
     Drain,
 }
 
-struct Pending {
+/// The open window: its members, the template `submit` assigned each, and
+/// the one state all of its tickets share.
+struct Window {
     records: Vec<QueryRecord>,
-    tickets: Vec<Arc<TicketState>>,
+    /// Per record, the model version and template id `submit` assigned it
+    /// (`None` when the model has no templates or the assignment failed).
+    assigned: Vec<Option<(u64, usize)>>,
+    state: Arc<TicketState>,
 }
 
-impl Pending {
-    fn new() -> Self {
-        Pending { records: Vec::new(), tickets: Vec::new() }
-    }
-
-    fn take(&mut self) -> Pending {
-        std::mem::replace(self, Pending::new())
+impl Window {
+    fn open(capacity: usize) -> Self {
+        Window {
+            records: Vec::with_capacity(capacity),
+            assigned: Vec::with_capacity(capacity),
+            state: TicketState::new(),
+        }
     }
 }
 
@@ -69,12 +74,20 @@ impl Drop for Retrainer {
 ///
 /// Lifecycle: **submit → window → predict → observe → swap**.
 ///
-/// - [`Engine::submit`] enqueues an arriving query and returns a
-///   [`QueryTicket`] immediately.
+/// - [`Engine::submit`] assigns the arriving query to its template on the
+///   caller's thread, through the model serving at that moment, then
+///   enqueues it with the assignment and returns a [`QueryTicket`]
+///   immediately.
 /// - Once the [`WindowPolicy`] closes a window, the engine pins the current
-///   model ([`PredictorHandle::snapshot`]), predicts the window's collective
-///   memory, and resolves every member ticket with the same
-///   [`WorkloadDecision`].
+///   model ([`PredictorHandle::snapshot`]) and predicts the window's
+///   collective demand. When that model assigned every member, only its
+///   histogram and regressor run
+///   ([`WorkloadPredictor::predict_assigned`]); after a swap between the
+///   window's submits and its close (or for a family without templates) it
+///   scores the records whole ([`WorkloadPredictor::predict_resources`]).
+///   Either way the decision equals the pinned model's `predict_resources`
+///   on the members. All tickets of the window share one state, resolved
+///   once with the window's [`WorkloadDecision`].
 /// - [`Engine::observe`] feeds executed queries (with their measured true
 ///   memory) to a background [`OnlineWmp`] retrainer; when a retraining
 ///   pass completes, the new model is published through the handle without
@@ -86,7 +99,8 @@ impl Drop for Retrainer {
 pub struct Engine {
     handle: PredictorHandle,
     policy: WindowPolicy,
-    pending: Mutex<Pending>,
+    /// The window being filled (`None` until a submit opens one).
+    pending: Mutex<Option<Window>>,
     window_seq: AtomicU64,
     query_seq: AtomicU64,
     stats: Arc<EngineStats>,
@@ -102,7 +116,7 @@ impl Engine {
         Engine {
             handle,
             policy,
-            pending: Mutex::new(Pending::new()),
+            pending: Mutex::new(None),
             window_seq: AtomicU64::new(0),
             query_seq: AtomicU64::new(0),
             stats: Arc::new(EngineStats::default()),
@@ -214,10 +228,11 @@ impl Engine {
         self
     }
 
-    /// Submits one arriving query. Returns immediately with a ticket that
-    /// resolves when the query's window is scored. If this submission closes
-    /// a [`WindowPolicy::Count`] window, the window is scored on the calling
-    /// thread before returning (so the returned ticket is already resolved).
+    /// Submits one arriving query. Assigns its template on the calling
+    /// thread, then returns with a ticket that resolves when the query's
+    /// window is scored. If this submission closes a [`WindowPolicy::Count`]
+    /// window, the window is scored on the calling thread before returning
+    /// (so the returned ticket is already resolved).
     pub fn submit(&self, record: QueryRecord) -> QueryTicket {
         // ordering: Relaxed — ticket sequence numbers only need uniqueness,
         // not ordering against any other memory.
@@ -231,21 +246,35 @@ impl Engine {
         if let Some(obs) = &self.obs {
             obs.submitted.inc();
         }
-        let state = TicketState::new();
-        let ticket = QueryTicket { seq, state: Arc::clone(&state) };
+        // Assign before taking the pending lock, so the call that closes the
+        // window has only the histogram and regressor left. A failed
+        // assignment is not an error yet: the closing call scores the
+        // records whole and reports it for the window.
+        let snapshot = self.handle.snapshot();
+        let assigned = match snapshot.assign_template(&record) {
+            Ok(Some(template)) => Some((snapshot.version(), template)),
+            Ok(None) | Err(_) => None,
+        };
+        drop(snapshot);
+        let capacity = match self.policy {
+            WindowPolicy::Count(s) => s.max(1),
+            WindowPolicy::Drain => 0,
+        };
 
-        let (closed, pending_len) = {
+        let (state, closed, pending_len) = {
             let mut pending =
                 self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            pending.records.push(record);
-            pending.tickets.push(state);
+            let window = pending.get_or_insert_with(|| Window::open(capacity));
+            window.records.push(record);
+            window.assigned.push(assigned);
+            let state = Arc::clone(&window.state);
+            let len = window.records.len();
             match self.policy {
-                WindowPolicy::Count(s) if pending.records.len() >= s.max(1) => {
-                    (Some(pending.take()), 0)
-                }
-                _ => (None, pending.records.len()),
+                WindowPolicy::Count(s) if len >= s.max(1) => (state, pending.take(), 0),
+                _ => (state, None, len),
             }
         };
+        let ticket = QueryTicket { seq, state };
         if let Some(obs) = &self.obs {
             obs.pending.set(pending_len as f64);
         }
@@ -320,20 +349,19 @@ impl Engine {
         if let Some(obs) = &self.obs {
             obs.pending.set(0.0);
         }
+        let Some(window) = window else { return 0 };
         let n = window.records.len();
-        if n > 0 {
-            self.score_window(window);
-        }
+        self.score_window(window);
         n
     }
 
     /// Queries waiting for their window to close.
     pub fn pending_len(&self) -> usize {
-        self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner).records.len()
+        let pending = self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        pending.as_ref().map_or(0, |w| w.records.len())
     }
 
-    fn score_window(&self, window: Pending) {
-        debug_assert_eq!(window.records.len(), window.tickets.len());
+    fn score_window(&self, window: Window) {
         // ordering: Relaxed — window ids need uniqueness only.
         let window_id = self.window_seq.fetch_add(1, Ordering::Relaxed);
         let span = wmp_obs::span!(
@@ -345,8 +373,22 @@ impl Engine {
         );
         let t0 = Instant::now();
         let snapshot = self.handle.snapshot();
-        let refs: Vec<&QueryRecord> = window.records.iter().collect();
-        let result = snapshot.predict_resources(&refs);
+        let version = snapshot.version();
+        let templates: Option<Vec<usize>> = window
+            .assigned
+            .iter()
+            .map(|a| a.and_then(|(v, template)| (v == version).then_some(template)))
+            .collect();
+        let result = match templates.and_then(|t| snapshot.predict_assigned(&t)) {
+            Some(result) => result,
+            // A swap since some member's submit, a family without templates,
+            // or a failed assignment: the records go through the pinned
+            // model whole.
+            None => {
+                let refs: Vec<&QueryRecord> = window.records.iter().collect();
+                snapshot.predict_resources(&refs)
+            }
+        };
         let elapsed = t0.elapsed();
         self.stats.latency.record_duration(elapsed);
         // ordering: Relaxed — advisory window count.
@@ -357,7 +399,7 @@ impl Engine {
             obs.model_version.set(snapshot.version() as f64);
             obs.model_age_seconds.set(snapshot.age().as_secs_f64());
         }
-        let n = window.tickets.len() as u64;
+        let n = window.records.len() as u64;
         // `Release` on the resolution counters pairs with the snapshot's
         // `Acquire` loads — rule 2 of the stats coherence contract: the
         // window left `pending` (the caller took it under the lock) before
@@ -393,9 +435,7 @@ impl Engine {
                 Err(e)
             }
         };
-        for ticket in &window.tickets {
-            ticket.resolve(resolution.clone());
-        }
+        window.state.resolve(resolution);
         drop(span);
     }
 
@@ -508,8 +548,8 @@ impl Drop for Engine {
         // Never strand a waiter: resolve any un-scored tickets with a typed
         // error instead of leaving them blocked forever.
         let window = self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
-        for ticket in &window.tickets {
-            ticket.resolve(Err(MlError::EmptyInput(
+        if let Some(window) = window {
+            window.state.resolve(Err(MlError::EmptyInput(
                 "Engine dropped with a partial window (call drain() before shutdown)",
             )));
         }

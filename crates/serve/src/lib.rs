@@ -263,9 +263,112 @@ mod tests {
         let log = wmp_workloads::tpcc::generate(60, 9).unwrap();
         let model = trained_on(&log, ModelKind::Ridge, 9);
         let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10));
-        let ticket = engine.submit(log.records[0].clone());
+        let mut tickets: Vec<QueryTicket> =
+            log.records[..7].iter().map(|r| engine.submit(r.clone())).collect();
+        // Some members of the partial window wait on other threads.
+        let waiters: Vec<_> =
+            tickets.drain(..3).map(|t| std::thread::spawn(move || t.wait())).collect();
         drop(engine);
-        assert!(ticket.wait().is_err(), "no waiter blocks forever on shutdown");
+        for result in waiters
+            .into_iter()
+            .map(|w| w.join().unwrap())
+            .chain(tickets.iter().map(QueryTicket::wait))
+        {
+            assert!(
+                matches!(result, Err(wmp_mlkit::MlError::EmptyInput(_))),
+                "no waiter blocks forever on shutdown: {result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn windows_assigned_at_submit_decide_like_predict_resources() {
+        let log = wmp_workloads::tpcc::generate(300, 12).unwrap();
+        let model = trained_on(&log, ModelKind::Xgb, 12);
+        let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10));
+        let tickets: Vec<QueryTicket> =
+            log.records[..30].iter().map(|r| engine.submit(r.clone())).collect();
+        let snapshot = engine.handle().snapshot();
+        for (w, members) in log.records[..30].chunks(10).enumerate() {
+            let refs: Vec<&QueryRecord> = members.iter().collect();
+            let expected = snapshot.predict_resources(&refs).unwrap();
+            for t in &tickets[w * 10..(w + 1) * 10] {
+                let d = t.wait().unwrap();
+                assert_eq!(d.window_id, w as u64);
+                assert_eq!(
+                    d.predicted.as_array().map(f64::to_bits),
+                    expected.as_array().map(f64::to_bits)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_swap_mid_window_decides_with_the_closing_model() {
+        let log = wmp_workloads::tpcc::generate(300, 13).unwrap();
+        let before = trained_on(&log, ModelKind::Xgb, 13);
+        // A different template count too: ids assigned by `before` would
+        // not even index the replacement's histogram correctly.
+        let after = LearnedWmp::builder()
+            .model(ModelKind::Rf)
+            .templates(TemplateSpec::PlanKMeans { k: 9, seed: 14 })
+            .fit(&log)
+            .unwrap();
+        let refs: Vec<&QueryRecord> = log.records[..10].iter().collect();
+        let by_before = before.predict_resources(&refs).unwrap();
+        let by_after = after.predict_resources(&refs).unwrap();
+        assert_ne!(by_before, by_after);
+
+        let engine = Engine::new(PredictorHandle::new(before), WindowPolicy::Count(10));
+        let mut tickets: Vec<QueryTicket> =
+            log.records[..5].iter().map(|r| engine.submit(r.clone())).collect();
+        assert_eq!(engine.install(after), 1);
+        tickets.extend(log.records[5..10].iter().map(|r| engine.submit(r.clone())));
+        for t in &tickets {
+            let d = t.wait().unwrap();
+            assert_eq!(d.model_version, 1);
+            assert_eq!(
+                d.predicted.as_array().map(f64::to_bits),
+                by_after.as_array().map(f64::to_bits)
+            );
+        }
+    }
+
+    #[test]
+    fn families_without_templates_decide_from_the_records() {
+        let log = wmp_workloads::tpcc::generate(120, 15).unwrap();
+        let refs: Vec<&QueryRecord> = log.records.iter().collect();
+        let single = learnedwmp_core::SingleWmp::train(ModelKind::Ridge, &refs).unwrap();
+        let expected = single.predict_resources(&refs[..10]).unwrap();
+        let engine = Engine::new(PredictorHandle::new(single), WindowPolicy::Count(10));
+        let tickets: Vec<QueryTicket> =
+            log.records[..10].iter().map(|r| engine.submit(r.clone())).collect();
+        assert_eq!(tickets[0].wait().unwrap().predicted, expected);
+    }
+
+    #[test]
+    fn non_finite_features_fail_their_window_with_a_typed_error() {
+        let log = wmp_workloads::tpcc::generate(200, 16).unwrap();
+        let model = trained_on(&log, ModelKind::Xgb, 16);
+        let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10));
+        let mut bad = log.records[3].clone();
+        bad.features[2] = f64::NAN;
+        let mut window: Vec<QueryRecord> = log.records[..10].to_vec();
+        window[3] = bad;
+        let tickets: Vec<QueryTicket> = window.into_iter().map(|r| engine.submit(r)).collect();
+        for t in &tickets {
+            assert_eq!(
+                t.wait().unwrap_err(),
+                wmp_mlkit::MlError::NonFinite { what: "query plan features", index: 2 }
+            );
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.failed, stats.served), (10, 0));
+        // The next window is unaffected.
+        let next: Vec<QueryTicket> =
+            log.records[10..20].iter().map(|r| engine.submit(r.clone())).collect();
+        assert!(next[0].wait().is_ok());
+        assert_eq!(engine.stats().served, 10);
     }
 
     #[test]

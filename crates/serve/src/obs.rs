@@ -179,7 +179,8 @@ impl EngineObs {
             ),
             score_latency: r.histogram(
                 "wmp_window_score_latency_us",
-                "Window-scoring latency in microseconds",
+                "Window-scoring latency in microseconds (histogram and regressor; \
+                 assignment happens at submit)",
                 &[],
             ),
             pending: r.gauge(

@@ -134,7 +134,9 @@ pub struct StatsSnapshot {
     pub retrains: u64,
     /// Background retraining passes that failed (model kept serving).
     pub retrain_failures: u64,
-    /// Median window-scoring latency (µs, bucket upper bound).
+    /// Median window-scoring latency (µs, bucket upper bound): the closing
+    /// call's histogram and regressor, plus reassignment only after a
+    /// mid-window model swap — assignment itself happens in `submit`.
     pub p50_latency_us: u64,
     /// 99th-percentile window-scoring latency (µs, bucket upper bound).
     pub p99_latency_us: u64,

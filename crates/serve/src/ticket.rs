@@ -1,6 +1,9 @@
 //! Per-query tickets: `Engine::submit` returns immediately with a
 //! [`QueryTicket`]; the ticket resolves when the query's window fills (or is
 //! drained) and the window's collective memory prediction is known.
+//!
+//! Every ticket of one window holds the same shared state: the window is
+//! resolved once — one lock, one `notify_all` — however many members it has.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -35,6 +38,7 @@ impl WorkloadDecision {
     }
 }
 
+/// The outcome slot of one window, shared by all of its tickets.
 pub(crate) struct TicketState {
     slot: Mutex<Option<MlResult<WorkloadDecision>>>,
     ready: Condvar,

@@ -425,9 +425,29 @@ mod tests {
         assert_eq!(stats.overflow_on[ResourceKind::Io.index()], 0);
     }
 
+    /// Records only the events emitted on the thread that created it. The
+    /// subscriber is process-global, and the other admission tests of this
+    /// binary run on their own threads at the same time, emitting the same
+    /// events.
+    struct ThisThread {
+        thread: std::thread::ThreadId,
+        events: wmp_obs::RingBufferRecorder,
+    }
+
+    impl wmp_obs::Subscriber for ThisThread {
+        fn record(&self, event: &wmp_obs::Event) {
+            if std::thread::current().id() == self.thread {
+                self.events.record(event);
+            }
+        }
+    }
+
     #[test]
     fn decisions_emit_structured_events() {
-        let recorder = std::sync::Arc::new(wmp_obs::RingBufferRecorder::with_capacity(64));
+        let recorder = std::sync::Arc::new(ThisThread {
+            thread: std::thread::current().id(),
+            events: wmp_obs::RingBufferRecorder::with_capacity(64),
+        });
         wmp_obs::set_subscriber(recorder.clone());
         let mut gate = AdmissionController::new(100.0);
         let Admission::Admitted(first) = gate.offer(60.0, 90.0) else { panic!("admit") };
@@ -438,7 +458,7 @@ mod tests {
         assert_eq!(gate.offer(80.0, 10.0), Admission::Rejected);
         wmp_obs::clear_subscriber();
 
-        let events = recorder.take();
+        let events = recorder.events.take();
         let decisions: Vec<_> = events.iter().filter(|e| e.name == "admission_decision").collect();
         assert_eq!(decisions.len(), 3);
         assert_eq!(decisions[0].field("admitted").and_then(|f| f.as_bool()), Some(true));
