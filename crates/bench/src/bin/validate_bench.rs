@@ -4,7 +4,8 @@
 //! or schema-invalid — the CI gate that keeps the trajectory machine-readable.
 //!
 //! Usage: `validate_bench [file ...]` — with no arguments, validates every
-//! `BENCH_*.json` found at the repository root (at least one must exist).
+//! `BENCH_*.json` found at the root of the checkout the working directory
+//! is in (see [`repo_root`]; at least one must exist).
 
 use wmp_bench::report::{repo_root, validate_report};
 

@@ -32,7 +32,7 @@
 //! CI runs (`cargo bench ... -- --test`), whose numbers are smoke-test
 //! artifacts, not trajectory points.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use wmp_obs::JsonValue;
 
@@ -141,9 +141,24 @@ impl BenchReport {
     }
 }
 
-/// The repository root (two levels above this crate's manifest).
+/// The repository root of the checkout the process runs in: the nearest
+/// directory at or above the working directory that holds `crates/bench`,
+/// or the working directory itself when none does. It is resolved at run
+/// time, so a build reused from a copied checkout reads and writes the copy
+/// it runs in. `cargo bench` starts benches in `crates/bench`, and `cargo
+/// run` in the caller's directory; both find the root above them.
 pub fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    repo_root_from(&cwd)
+}
+
+/// [`repo_root`] starting from `start` instead of the working directory.
+pub fn repo_root_from(start: &Path) -> PathBuf {
+    start
+        .ancestors()
+        .find(|dir| dir.join("crates").join("bench").is_dir())
+        .unwrap_or(start)
+        .to_path_buf()
 }
 
 /// `git describe --always --dirty` of the working tree, or `"unknown"`
@@ -206,6 +221,27 @@ pub fn validate_report(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn repo_root_is_found_above_the_start_directory() {
+        let tmp = std::env::temp_dir().join(format!("wmp_bench_root_{}", std::process::id()));
+        let nested = tmp.join("checkout").join("crates").join("bench").join("src");
+        std::fs::create_dir_all(&nested).unwrap();
+        let root = tmp.join("checkout");
+        assert_eq!(repo_root_from(&nested), root);
+        assert_eq!(repo_root_from(&root.join("crates").join("bench")), root);
+        assert_eq!(repo_root_from(&root), root);
+        // Outside any checkout the start directory itself is the root.
+        assert_eq!(repo_root_from(&tmp), tmp);
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
+
+    #[test]
+    fn repo_root_at_run_time_is_this_workspace() {
+        // Tests run in this crate's directory, two levels below the root.
+        let expected = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+        assert_eq!(repo_root().canonicalize().unwrap(), expected.canonicalize().unwrap());
+    }
 
     #[test]
     fn report_round_trips_through_the_validator() {

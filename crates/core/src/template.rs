@@ -16,6 +16,7 @@ use wmp_mlkit::kmeans::{KMeans, KMeansConfig};
 use wmp_mlkit::linalg::sq_dist;
 use wmp_mlkit::scaler::StandardScaler;
 use wmp_mlkit::{Matrix, MlError, MlResult};
+use wmp_plan::query::Ident;
 use wmp_plan::Catalog;
 use wmp_text::bow::Vectorizer;
 use wmp_text::embed::{EmbedConfig, WordEmbedder};
@@ -190,13 +191,19 @@ impl TemplateLearner for PlanKMeansTemplates {
     }
 }
 
+/// A rule's key: table count (capped at 6), GROUP BY, ORDER BY or
+/// DISTINCT, aggregates, and the driving (first) table. The driving table is
+/// an [`Ident`], so building the key for `assign` copies a name of up to
+/// 22 bytes (every generated catalog's) without allocating.
+type RuleKey = (usize, bool, bool, bool, Ident);
+
 /// Expert-rule templates: a query's template is determined by structural
 /// attributes a DBA would write rules over (table count, aggregation shape,
 /// sort/distinct flags, driving table). Unseen combinations at inference time
 /// fall back to template 0, mirroring a rule set's catch-all bucket.
 #[derive(Debug, Clone, Default)]
 pub struct RuleBasedTemplates {
-    map: HashMap<(usize, bool, bool, bool, String), usize>,
+    map: HashMap<RuleKey, usize>,
     fitted: bool,
 }
 
@@ -206,7 +213,7 @@ impl RuleBasedTemplates {
         Self::default()
     }
 
-    fn key_of(record: &QueryRecord) -> (usize, bool, bool, bool, String) {
+    fn key_of(record: &QueryRecord) -> RuleKey {
         let s = &record.spec;
         (
             s.tables.len().min(6),
@@ -232,7 +239,7 @@ impl RuleBasedTemplates {
                 c::read_bool(r)?,
                 c::read_bool(r)?,
                 c::read_bool(r)?,
-                c::read_string(r)?,
+                Ident::from(c::read_string(r)?),
             );
             let template = c::read_usize(r)?;
             // assign() must stay within 0..n_templates() or the histogram

@@ -7,7 +7,8 @@
 //! - [`schema`] / [`catalog`] — tables, columns, statistics, indexes;
 //! - [`datamodel`] — the *hidden* truth (predicate correlations, join skew)
 //!   that breaks the estimator's independence assumptions;
-//! - [`query`] — logical query specifications, [`sql`] — SQL text rendering;
+//! - [`query`] — logical query specifications over the inline-string
+//!   [`Ident`] type, [`sql`] — SQL text rendering;
 //! - [`card`] — textbook cardinality estimation (estimates vs. truths);
 //! - [`planner`] — access paths, greedy join ordering, join/aggregation
 //!   method selection, sort elision;
@@ -26,6 +27,7 @@ pub mod cost;
 pub mod datamodel;
 pub mod error;
 pub mod features;
+pub mod ident;
 pub mod plan;
 pub mod planner;
 pub mod query;
@@ -38,5 +40,5 @@ pub use cost::{CardSource, CostModel, PlanCost};
 pub use error::{PlanError, PlanResult};
 pub use plan::{OpKind, Operator, PlanNode, ALL_OP_KINDS};
 pub use planner::{Planner, PlannerConfig};
-pub use query::QuerySpec;
+pub use query::{Ident, QuerySpec};
 pub use resource::{ResourceKind, ResourceVector, N_RESOURCES};

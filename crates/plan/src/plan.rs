@@ -3,6 +3,7 @@
 //! the direct input to both plan featurization (paper Fig. 2) and the
 //! working-memory simulator.
 
+use crate::query::Ident;
 use std::fmt;
 
 /// Flat operator taxonomy used for featurization. The paper's Fig. 2 example
@@ -75,18 +76,18 @@ pub enum Operator {
     /// Sequential scan of a base table.
     TableScan {
         /// Scanned table.
-        table: String,
+        table: Ident,
         /// Alias in the query.
-        alias: String,
+        alias: Ident,
     },
     /// Index scan driven by a predicate on `column`.
     IndexScan {
         /// Scanned table.
-        table: String,
+        table: Ident,
         /// Alias in the query.
-        alias: String,
+        alias: Ident,
         /// Indexed column that drives the scan.
-        column: String,
+        column: Ident,
     },
     /// Hash join; `children[1]` is always the build side.
     HashJoin,

@@ -1,22 +1,25 @@
 //! Logical query specification — the `e` (expression) of the paper's query
 //! triple `q = (e, p, m)`. A [`QuerySpec`] carries both the *visible*
 //! statistics-based selectivity of each predicate and the *hidden* true
-//! selectivity drawn by the workload generator from the data model.
+//! selectivity drawn by the workload generator from the data model. Every
+//! name and literal in a spec is an [`Ident`].
+
+pub use crate::ident::{Ident, INLINE_CAP};
 
 /// A table reference with an alias (JOB-style queries reference the same
 /// table multiple times under different aliases).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRef {
     /// Catalog table name.
-    pub table: String,
+    pub table: Ident,
     /// Alias used in joins/predicates.
-    pub alias: String,
+    pub alias: Ident,
 }
 
 impl TableRef {
     /// Creates a reference with an explicit alias.
     pub fn new(table: &str, alias: &str) -> Self {
-        TableRef { table: table.to_string(), alias: alias.to_string() }
+        TableRef { table: table.into(), alias: alias.into() }
     }
 
     /// Creates a reference aliased by the table's own name.
@@ -66,13 +69,13 @@ impl CmpOp {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     /// Alias of the table the predicate filters.
-    pub table_alias: String,
+    pub table_alias: Ident,
     /// Filtered column.
-    pub column: String,
+    pub column: Ident,
     /// Comparison operator.
     pub op: CmpOp,
     /// Rendered literal (for SQL text and the text-based template learners).
-    pub literal: String,
+    pub literal: Ident,
     /// Selectivity the optimizer derives from catalog statistics under the
     /// uniformity assumption (e.g. `1 / ndv` for equality).
     pub sel_est: f64,
@@ -85,13 +88,13 @@ pub struct Predicate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinEdge {
     /// Left alias.
-    pub left_alias: String,
+    pub left_alias: Ident,
     /// Left join column.
-    pub left_col: String,
+    pub left_col: Ident,
     /// Right alias.
-    pub right_alias: String,
+    pub right_alias: Ident,
     /// Right join column.
-    pub right_col: String,
+    pub right_col: Ident,
 }
 
 /// Aggregate function.
@@ -128,9 +131,9 @@ pub struct Aggregate {
     /// Function.
     pub func: AggFunc,
     /// Alias of the aggregated column's table (ignored for `COUNT(*)`).
-    pub table_alias: String,
+    pub table_alias: Ident,
     /// Aggregated column (ignored for `COUNT(*)`).
-    pub column: String,
+    pub column: Ident,
 }
 
 /// A full logical query.
@@ -145,11 +148,11 @@ pub struct QuerySpec {
     /// Local predicates.
     pub predicates: Vec<Predicate>,
     /// GROUP BY columns as `(alias, column)` pairs.
-    pub group_by: Vec<(String, String)>,
+    pub group_by: Vec<(Ident, Ident)>,
     /// Aggregates in the SELECT list.
     pub aggregates: Vec<Aggregate>,
     /// ORDER BY columns as `(alias, column)` pairs.
-    pub order_by: Vec<(String, String)>,
+    pub order_by: Vec<(Ident, Ident)>,
     /// SELECT DISTINCT.
     pub distinct: bool,
     /// LIMIT / FETCH FIRST n ROWS.

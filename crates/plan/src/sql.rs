@@ -244,7 +244,7 @@ mod tests {
             aggregates: vec![Aggregate {
                 func: AggFunc::Count,
                 table_alias: "item".into(),
-                column: String::new(),
+                column: "".into(),
             }],
             distinct: true,
             ..QuerySpec::default()

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 
 use wmp_plan::catalog::Catalog;
-use wmp_plan::query::{Aggregate, CmpOp, JoinEdge, Predicate, QuerySpec, TableRef};
+use wmp_plan::query::{Aggregate, CmpOp, Ident, JoinEdge, Predicate, QuerySpec, TableRef};
 
 use crate::ast::{ColumnRef, Condition, Literal, SelectItem, SelectStmt};
 use crate::error::{ParseError, SqlResult};
@@ -55,11 +55,7 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
     let mut spec = QuerySpec {
         distinct: stmt.distinct,
         limit: stmt.limit,
-        tables: stmt
-            .from
-            .iter()
-            .map(|f| TableRef { table: f.table.clone(), alias: f.alias.clone() })
-            .collect(),
+        tables: stmt.from.iter().map(|f| TableRef::new(&f.table, &f.alias)).collect(),
         ..QuerySpec::default()
     };
 
@@ -78,7 +74,7 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
                         let (alias, _, column) = scope.resolve(col, catalog)?;
                         (alias, column)
                     }
-                    None => (String::new(), String::new()),
+                    None => (Ident::default(), Ident::default()),
                 };
                 spec.aggregates.push(Aggregate { func: *func, table_alias, column });
             }
@@ -107,7 +103,7 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
                         })
                     }
                 };
-                spec.predicates.push(predicate(table_alias, column, op, literal.text.clone(), sel));
+                spec.predicates.push(predicate(table_alias, column, op, &literal.text, sel));
             }
             Condition::Between { col, lo, hi, .. } => {
                 let (table_alias, _, column) = scope.resolve(col, catalog)?;
@@ -116,7 +112,7 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
                     table_alias,
                     column,
                     CmpOp::Between,
-                    literal,
+                    &literal,
                     BETWEEN_SELECTIVITY,
                 ));
             }
@@ -133,7 +129,7 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
                     table_alias,
                     column,
                     CmpOp::InList(items.len() as u8),
-                    render_in_list(items),
+                    &render_in_list(items),
                     sel,
                 ));
             }
@@ -143,7 +139,7 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
                     table_alias,
                     column,
                     CmpOp::Like,
-                    pattern.text.clone(),
+                    &pattern.text,
                     LIKE_SELECTIVITY,
                 ));
             }
@@ -161,14 +157,8 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
     Ok(spec)
 }
 
-fn predicate(
-    table_alias: String,
-    column: String,
-    op: CmpOp,
-    literal: String,
-    sel: f64,
-) -> Predicate {
-    Predicate { table_alias, column, op, literal, sel_est: sel, sel_true: sel }
+fn predicate(table_alias: Ident, column: Ident, op: CmpOp, literal: &str, sel: f64) -> Predicate {
+    Predicate { table_alias, column, op, literal: literal.into(), sel_est: sel, sel_true: sel }
 }
 
 fn eq_selectivity(ndv: u64) -> f64 {
@@ -211,12 +201,12 @@ impl Scope {
     }
 
     /// Resolves a column reference to `(alias, ndv, column)`.
-    fn resolve(&self, col: &ColumnRef, catalog: &Catalog) -> SqlResult<(String, u64, String)> {
+    fn resolve(&self, col: &ColumnRef, catalog: &Catalog) -> SqlResult<(Ident, u64, Ident)> {
         match &col.qualifier {
             Some(alias) => {
                 let table = self.alias_table(alias, col.span)?;
                 match catalog.column(table, &col.column) {
-                    Some((_, c)) => Ok((alias.clone(), c.ndv, col.column.clone())),
+                    Some((_, c)) => Ok((alias.as_str().into(), c.ndv, col.column.as_str().into())),
                     None => Err(ParseError::UnknownColumn {
                         table: table.to_string(),
                         column: col.column.clone(),
@@ -225,7 +215,7 @@ impl Scope {
                 }
             }
             None => {
-                let mut hit: Option<(String, u64)> = None;
+                let mut hit: Option<(&str, u64)> = None;
                 for (alias, table) in &self.by_alias {
                     if let Some((_, c)) = catalog.column(table, &col.column) {
                         if hit.is_some() {
@@ -234,11 +224,11 @@ impl Scope {
                                 span: col.span,
                             });
                         }
-                        hit = Some((alias.clone(), c.ndv));
+                        hit = Some((alias, c.ndv));
                     }
                 }
                 match hit {
-                    Some((alias, ndv)) => Ok((alias, ndv, col.column.clone())),
+                    Some((alias, ndv)) => Ok((alias.into(), ndv, col.column.as_str().into())),
                     None => Err(ParseError::UnknownColumn {
                         table: "<any table in scope>".to_string(),
                         column: col.column.clone(),
@@ -300,7 +290,7 @@ mod tests {
         assert_eq!(spec.predicates[1].op, CmpOp::Between);
         assert_eq!(spec.predicates[1].literal, "5 AND 10");
         assert!((spec.predicates[1].sel_est - BETWEEN_SELECTIVITY).abs() < 1e-12);
-        assert_eq!(spec.group_by, vec![("c".to_string(), "c_nation".to_string())]);
+        assert_eq!(spec.group_by, vec![(Ident::from("c"), Ident::from("c_nation"))]);
         assert_eq!(spec.order_by.len(), 1);
         assert_eq!(spec.limit, Some(10));
         assert_eq!(spec.aggregates.len(), 1);

@@ -214,11 +214,7 @@ mod tests {
         let q = QuerySpec {
             tables: vec![TableRef::plain("t")],
             aggregates: vec![
-                Aggregate {
-                    func: AggFunc::Count,
-                    table_alias: String::new(),
-                    column: String::new(),
-                },
+                Aggregate { func: AggFunc::Count, table_alias: "".into(), column: "".into() },
                 Aggregate { func: AggFunc::Count, table_alias: "t".into(), column: "a".into() },
             ],
             ..QuerySpec::default()

@@ -45,7 +45,7 @@ fn arb_pred() -> impl Strategy<Value = PredPick> {
 fn build_predicate(pick: &PredPick, aliases: &[&str; 3], present: &[usize]) -> Predicate {
     // Map the pick onto a table that is actually in the FROM list.
     let table = present[pick.table % present.len()];
-    let column = PRED_COLS[table][pick.col].to_string();
+    let column = PRED_COLS[table][pick.col].into();
     let (op, literal) = match pick.op {
         0 => (CmpOp::Eq, format!("{}", pick.a)),
         1 => (CmpOp::Lt, format!("{}", pick.a)),
@@ -60,10 +60,10 @@ fn build_predicate(pick: &PredPick, aliases: &[&str; 3], present: &[usize]) -> P
         _ => (CmpOp::Like, format!("'%v{}%'", pick.a)),
     };
     Predicate {
-        table_alias: aliases[table].to_string(),
+        table_alias: aliases[table].into(),
         column,
         op,
-        literal,
+        literal: literal.into(),
         sel_est: 0.1,
         sel_true: 0.2,
     }
@@ -114,17 +114,14 @@ fn arb_spec() -> impl Strategy<Value = QuerySpec> {
             let predicates: Vec<Predicate> =
                 preds.iter().map(|p| build_predicate(p, &aliases, &present)).collect();
 
-            let group_by = if group {
-                vec![(aliases[0].to_string(), "l_returnflag".to_string())]
-            } else {
-                vec![]
-            };
+            let group_by =
+                if group { vec![(aliases[0].into(), "l_returnflag".into())] } else { vec![] };
             let aggregates = match agg_idx {
                 0 => vec![],
                 1 => vec![Aggregate {
                     func: AggFunc::Count,
-                    table_alias: String::new(),
-                    column: String::new(),
+                    table_alias: "".into(),
+                    column: "".into(),
                 }],
                 2 => vec![Aggregate {
                     func: AggFunc::Sum,
@@ -142,11 +139,7 @@ fn arb_spec() -> impl Strategy<Value = QuerySpec> {
                         table_alias: aliases[0].into(),
                         column: "l_extendedprice".into(),
                     },
-                    Aggregate {
-                        func: AggFunc::Count,
-                        table_alias: String::new(),
-                        column: String::new(),
-                    },
+                    Aggregate { func: AggFunc::Count, table_alias: "".into(), column: "".into() },
                 ],
             };
             let order_by = if order && group { group_by.clone() } else { vec![] };
