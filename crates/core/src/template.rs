@@ -12,10 +12,12 @@
 use std::collections::HashMap;
 
 use wmp_mlkit::dbscan::{dbscan, DbscanConfig, NOISE};
+use wmp_mlkit::error::dim_mismatch;
 use wmp_mlkit::kmeans::{KMeans, KMeansConfig};
 use wmp_mlkit::linalg::sq_dist;
 use wmp_mlkit::scaler::StandardScaler;
 use wmp_mlkit::{Matrix, MlError, MlResult};
+use wmp_plan::features::N_PLAN_FEATURES;
 use wmp_plan::query::Ident;
 use wmp_plan::Catalog;
 use wmp_text::bow::Vectorizer;
@@ -91,6 +93,15 @@ fn finite_features(record: &QueryRecord) -> MlResult<&[f64]> {
     Err(MlError::NonFinite { what: "query plan features", index })
 }
 
+/// A plan-feature row wider than [`N_PLAN_FEATURES`], which
+/// [`PlanKMeansTemplates`] neither fits nor assigns.
+fn too_wide(width: usize) -> MlError {
+    dim_mismatch(
+        format!("at most {N_PLAN_FEATURES} plan features"),
+        format!("{width} plan features"),
+    )
+}
+
 /// The paper's template learner: k-means over standardized plan features.
 #[derive(Debug, Clone)]
 pub struct PlanKMeansTemplates {
@@ -147,6 +158,9 @@ impl TemplateLearner for PlanKMeansTemplates {
         if records.is_empty() {
             return Err(MlError::EmptyInput("PlanKMeansTemplates::fit"));
         }
+        if let Some(r) = records.iter().find(|r| r.features.len() > N_PLAN_FEATURES) {
+            return Err(too_wide(r.features.len()));
+        }
         let rows = subsample_rows(records.iter().map(|r| r.features.clone()).collect());
         let x = Matrix::from_rows(&rows)?;
         let xs = self.scaler.fit_transform(&x)?;
@@ -165,9 +179,13 @@ impl TemplateLearner for PlanKMeansTemplates {
 
     fn assign(&self, record: &QueryRecord) -> MlResult<usize> {
         let km = self.kmeans.as_ref().ok_or(MlError::NotFitted("PlanKMeansTemplates"))?;
-        let mut row = finite_features(record)?.to_vec();
-        self.scaler.transform_row(&mut row)?;
-        km.predict_row(&row)
+        let features = finite_features(record)?;
+        // Scaled on the stack: assignment runs once per served query.
+        let mut scaled = [0.0; N_PLAN_FEATURES];
+        let row = scaled.get_mut(..features.len()).ok_or_else(|| too_wide(features.len()))?;
+        row.copy_from_slice(features);
+        self.scaler.transform_row(row)?;
+        km.predict_row(row)
     }
 
     fn n_templates(&self) -> usize {
@@ -738,6 +756,24 @@ mod tests {
         for learner in learners {
             assert!(learner.assign(refs[0]).unwrap() < learner.n_templates());
         }
+    }
+
+    #[test]
+    fn plan_kmeans_rejects_rows_of_another_width() {
+        let log = sample_log();
+        let refs: Vec<&QueryRecord> = log.records.iter().collect();
+        let mut t = PlanKMeansTemplates::new(8, 1);
+        t.fit(&refs, &log.catalog).unwrap();
+        for width in [0, N_PLAN_FEATURES - 1, N_PLAN_FEATURES + 1, 4 * N_PLAN_FEATURES] {
+            let mut record = log.records[0].clone();
+            record.features.resize(width, 1.0);
+            let err = t.assign(&record).unwrap_err();
+            assert!(matches!(err, MlError::DimensionMismatch { .. }), "width {width}: {err}");
+        }
+        let mut wide = log.records[0].clone();
+        wide.features.push(1.0);
+        let err = PlanKMeansTemplates::new(2, 1).fit(&[&wide, refs[1]], &log.catalog).unwrap_err();
+        assert!(matches!(err, MlError::DimensionMismatch { .. }), "{err}");
     }
 
     #[test]

@@ -181,7 +181,8 @@ impl Regressor for RandomForest {
                 format!("row.len() == {}", row.len()),
             ));
         }
-        let sum: f64 = self.trees.leaves(row).sum();
+        // From -0.0, the start of `Iterator::sum`, as the reference sums.
+        let sum = self.trees.fold_leaves(row, -0.0, |s, leaf| s + leaf);
         Ok(sum / self.trees.len() as f64)
     }
 
@@ -308,8 +309,11 @@ mod tests {
         let mut rf = RandomForest::new(RandomForestConfig { n_trees: 20, ..Default::default() });
         rf.fit(&x, &y).unwrap();
         testing::assert_walks_like_reference(&rf, RandomForest::read_params, reference);
-        rf.trees = TreeArena::new(&testing::mixed_trees());
-        testing::assert_walks_like_reference(&rf, RandomForest::read_params, reference);
+        for trees in [testing::mixed_trees(), testing::wide_trees(), testing::negative_zero_trees()]
+        {
+            rf.trees = TreeArena::new(&trees);
+            testing::assert_walks_like_reference(&rf, RandomForest::read_params, reference);
+        }
     }
 
     #[test]

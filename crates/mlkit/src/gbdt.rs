@@ -218,7 +218,7 @@ impl Regressor for GradientBoosting {
         }
         // Tree order and `base + lr · leaf` per tree, as in training.
         let lr = self.config.learning_rate;
-        Ok(self.trees.leaves(row).fold(self.base_score, |p, leaf| p + lr * leaf))
+        Ok(self.trees.fold_leaves(row, self.base_score, |p, leaf| p + lr * leaf))
     }
 
     fn name(&self) -> &'static str {
@@ -383,8 +383,11 @@ mod tests {
         });
         gb.fit(&x, &y).unwrap();
         testing::assert_walks_like_reference(&gb, GradientBoosting::read_params, reference);
-        gb.trees = TreeArena::new(&testing::mixed_trees());
-        testing::assert_walks_like_reference(&gb, GradientBoosting::read_params, reference);
+        for trees in [testing::mixed_trees(), testing::wide_trees(), testing::negative_zero_trees()]
+        {
+            gb.trees = TreeArena::new(&trees);
+            testing::assert_walks_like_reference(&gb, GradientBoosting::read_params, reference);
+        }
     }
 
     #[test]

@@ -236,13 +236,27 @@ impl Footprint for KMeans {
     }
 }
 
+/// The nearest centroid to `row` and its squared distance: the lowest
+/// index among the closest, as a full scan with [`sq_dist`] finds them.
+///
+/// A centroid's sum stops as soon as it is no longer below the best so far.
+/// Each sum adds the same terms in the same order as [`sq_dist`], and adding
+/// a non-negative term never lowers a float sum, so a centroid cut short
+/// could not have won, and the winner's distance is bit for bit the full
+/// sum. A NaN term stops its sum too, as a NaN distance never wins.
 fn nearest(centroids: &Matrix, row: &[f64]) -> (usize, f64) {
     let mut best = (0usize, f64::INFINITY);
-    for (c, cr) in centroids.row_iter().enumerate() {
-        let d = sq_dist(cr, row);
-        if d < best.1 {
-            best = (c, d);
+    'centroids: for (c, cr) in centroids.row_iter().enumerate() {
+        let mut d = 0.0;
+        for (x, y) in cr.iter().zip(row) {
+            d += (x - y) * (x - y);
+            #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN sum must stop too
+            if !(d < best.1) {
+                continue 'centroids;
+            }
         }
+        // Rows are at least one wide, so the last term passed the test.
+        best = (c, d);
     }
     best
 }
@@ -332,6 +346,66 @@ pub fn pick_elbow(curve: &[(usize, f64)]) -> MlResult<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The scan `nearest` must match: every centroid's full [`sq_dist`].
+    fn full_scan(centroids: &Matrix, row: &[f64]) -> (usize, f64) {
+        let mut best = (0usize, f64::INFINITY);
+        for (c, cr) in centroids.row_iter().enumerate() {
+            let d = sq_dist(cr, row);
+            if d < best.1 {
+                best = (c, d);
+            }
+        }
+        best
+    }
+
+    /// A coordinate: mostly small integers (so distances tie), else a
+    /// fraction, a value whose square overflows, an infinity or NaN.
+    fn coordinate(code: u8) -> f64 {
+        match code {
+            0..=6 => f64::from(code) - 3.0,
+            7 => 0.1,
+            8 => 1e300,
+            9 => f64::INFINITY,
+            _ => f64::NAN,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn nearest_matches_the_full_scan_in_index_and_bits(
+            (palette, picks, row, d) in (1usize..5, 1usize..7, 1usize..12).prop_flat_map(
+                |(p, d, k)| (
+                    prop::collection::vec(0u8..11, p * d),
+                    prop::collection::vec(0usize..p, k),
+                    prop::collection::vec(0u8..11, d),
+                    Just(d),
+                ),
+            )
+        ) {
+            // Centroids drawn from a small palette of rows: duplicates are
+            // common, and the lowest index of equals must win.
+            let rows: Vec<Vec<f64>> = picks
+                .iter()
+                .map(|&i| palette[i * d..(i + 1) * d].iter().map(|&c| coordinate(c)).collect())
+                .collect();
+            let centroids = Matrix::from_rows(&rows).unwrap();
+            let row: Vec<f64> = row.into_iter().map(coordinate).collect();
+            let (got, want) = (nearest(&centroids, &row), full_scan(&centroids, &row));
+            prop_assert_eq!(got.0, want.0);
+            prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
+        }
+    }
+
+    #[test]
+    fn nearest_picks_the_lowest_index_among_duplicates() {
+        let c = Matrix::from_rows(&[vec![5.0, 5.0], vec![1.0, 1.0], vec![1.0, 1.0]]).unwrap();
+        assert_eq!(nearest(&c, &[1.0, 1.5]), (1, 0.25));
+        assert_eq!(nearest(&c, &[1.0, 1.5]), full_scan(&c, &[1.0, 1.5]));
+    }
 
     /// Three well-separated 2-d blobs.
     fn blobs() -> (Matrix, Vec<usize>) {

@@ -127,7 +127,7 @@ impl Regressor for DecisionTree {
                 format!("row.len() == {}", row.len()),
             ));
         }
-        self.tree.leaves(row).next().ok_or(MlError::NotFitted("DecisionTree"))
+        Ok(self.tree.fold_leaves(row, 0.0, |_, leaf| leaf))
     }
 
     fn name(&self) -> &'static str {
@@ -238,7 +238,7 @@ mod tests {
         let mut dt = DecisionTree::default_config();
         dt.fit(&x, &y).unwrap();
         testing::assert_walks_like_reference(&dt, DecisionTree::read_params, reference);
-        for tree in testing::mixed_trees() {
+        for tree in testing::wide_trees() {
             dt.tree = TreeArena::new(&[tree]);
             testing::assert_walks_like_reference(&dt, DecisionTree::read_params, reference);
         }

@@ -3,9 +3,10 @@
 //! drained) and the window's collective memory prediction is known.
 //!
 //! Every ticket of one window holds the same shared state: the window is
-//! resolved once — one lock, one `notify_all` — however many members it has.
+//! resolved once — one lock, and one `notify_all` if a thread is blocked in
+//! `wait` — however many members it has.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use wmp_mlkit::{MlError, MlResult};
@@ -40,22 +41,42 @@ impl WorkloadDecision {
 
 /// The outcome slot of one window, shared by all of its tickets.
 pub(crate) struct TicketState {
-    slot: Mutex<Option<MlResult<WorkloadDecision>>>,
+    slot: Mutex<Slot>,
     ready: Condvar,
+}
+
+/// What [`TicketState`]'s mutex guards.
+#[derive(Default)]
+struct Slot {
+    result: Option<MlResult<WorkloadDecision>>,
+    /// Threads blocked on `ready`. A waiter counts itself in before it
+    /// sleeps and out when it wakes, both under the lock, so a resolver
+    /// that reads 0 has nobody to wake and skips the `notify_all` syscall.
+    waiters: usize,
+}
+
+/// Locks a ticket's slot. Every update leaves the slot valid (a result is
+/// written whole; the waiter count moves by one), so a poisoned lock is
+/// still usable.
+fn lock(state: &TicketState) -> MutexGuard<'_, Slot> {
+    state.slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl TicketState {
     pub(crate) fn new() -> Arc<Self> {
-        Arc::new(TicketState { slot: Mutex::new(None), ready: Condvar::new() })
+        Arc::new(TicketState { slot: Mutex::new(Slot::default()), ready: Condvar::new() })
     }
 
     pub(crate) fn resolve(&self, result: MlResult<WorkloadDecision>) {
-        let mut slot = self.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if slot.is_none() {
-            *slot = Some(result);
+        let mut slot = lock(self);
+        if slot.result.is_none() {
+            slot.result = Some(result);
         }
+        let waiters = slot.waiters;
         drop(slot);
-        self.ready.notify_all();
+        if waiters > 0 {
+            self.ready.notify_all();
+        }
     }
 }
 
@@ -75,12 +96,12 @@ impl QueryTicket {
 
     /// True once the window has been scored (or failed).
     pub fn is_resolved(&self) -> bool {
-        self.state.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).is_some()
+        lock(&self.state).result.is_some()
     }
 
     /// Non-blocking read of the decision, if the window has been scored.
     pub fn try_get(&self) -> Option<MlResult<WorkloadDecision>> {
-        self.state.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+        lock(&self.state).result.clone()
     }
 
     /// Blocks until the window is scored and returns the decision.
@@ -89,12 +110,14 @@ impl QueryTicket {
     /// Propagates the window's prediction error; every ticket of a failed
     /// window receives the same error.
     pub fn wait(&self) -> MlResult<WorkloadDecision> {
-        let mut slot = self.state.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut slot = lock(&self.state);
         loop {
-            if let Some(result) = slot.clone() {
+            if let Some(result) = slot.result.clone() {
                 return result;
             }
-            slot = self.state.ready.wait(slot).unwrap_or_else(std::sync::PoisonError::into_inner);
+            slot.waiters += 1;
+            slot = self.state.ready.wait(slot).unwrap_or_else(PoisonError::into_inner);
+            slot.waiters -= 1;
         }
     }
 
@@ -105,21 +128,23 @@ impl QueryTicket {
     /// `timeout` (the window has not filled; `Engine::drain` flushes it).
     pub fn wait_timeout(&self, timeout: Duration) -> MlResult<WorkloadDecision> {
         let deadline = std::time::Instant::now() + timeout;
-        let mut slot = self.state.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut slot = lock(&self.state);
         loop {
-            if let Some(result) = slot.clone() {
+            if let Some(result) = slot.result.clone() {
                 return result;
             }
             let now = std::time::Instant::now();
             if now >= deadline {
                 return Err(MlError::NotFitted("QueryTicket (window not yet scored)"));
             }
+            slot.waiters += 1;
             let (guard, _) = self
                 .state
                 .ready
                 .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
             slot = guard;
+            slot.waiters -= 1;
         }
     }
 }
@@ -171,6 +196,33 @@ mod tests {
         let ticket = QueryTicket { seq: 0, state };
         let err = ticket.wait_timeout(Duration::from_millis(10)).unwrap_err();
         assert!(matches!(err, MlError::NotFitted(_)));
+        assert_eq!(lock(&ticket.state).waiters, 0, "a timed-out waiter counts itself out");
+    }
+
+    #[test]
+    fn resolve_wakes_every_thread_already_asleep() {
+        let state = TicketState::new();
+        let sleepers: Vec<_> = (0..3)
+            .map(|i| {
+                let ticket = QueryTicket { seq: i, state: Arc::clone(&state) };
+                std::thread::spawn(move || {
+                    if i == 0 {
+                        ticket.wait_timeout(Duration::from_secs(600))
+                    } else {
+                        ticket.wait()
+                    }
+                })
+            })
+            .collect();
+        // Resolve only once all three are blocked on the condvar.
+        while lock(&state).waiters < 3 {
+            std::thread::yield_now();
+        }
+        state.resolve(Ok(decision()));
+        for sleeper in sleepers {
+            assert_eq!(sleeper.join().unwrap().unwrap(), decision());
+        }
+        assert_eq!(lock(&state).waiters, 0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Allocation budget of a query record. The serving engine drops a window's
-//! records in the call that closes it, so every heap block a record holds
-//! is paid for there. Cloning a generated TPC-DS or TPC-H record, and
-//! dropping the clone, may allocate once per non-empty `Vec` field plus
-//! once per literal longer than the inline limit of `Ident`; names never
-//! allocate.
+//! Allocation budgets of the serving path. The serving engine drops a
+//! window's records in the call that closes it, so every heap block a
+//! record holds is paid for there. Cloning a generated TPC-DS or TPC-H
+//! record, and dropping the clone, may allocate once per non-empty `Vec`
+//! field plus once per literal longer than the inline limit of `Ident`;
+//! names never allocate. Assigning a query's template, which `submit` does
+//! for every query, allocates nothing.
 //!
 //! This file is its own test binary because it installs a counting global
 //! allocator. The allocator counts only on a thread that has switched
@@ -105,4 +106,23 @@ fn tpcds_records_clone_within_budget() {
 #[test]
 fn tpch_records_clone_within_budget() {
     check_log(&learnedwmp::workloads::tpch::generate(200, 5).expect("TPC-H log"));
+}
+
+/// Template assignment runs once per served query, on the submitting
+/// thread: on the paper's learner it must not touch the heap.
+#[test]
+fn plan_kmeans_assignment_does_not_allocate() {
+    use learnedwmp::core::{LearnedWmp, ModelKind, TemplateSpec};
+    let log = learnedwmp::workloads::tpcds::generate(400, 5).expect("TPC-DS log");
+    let model = LearnedWmp::builder()
+        .model(ModelKind::Ridge)
+        .templates(TemplateSpec::PlanKMeans { k: 20, seed: 1 })
+        .fit(&log)
+        .expect("training");
+    for r in log.records.iter().take(200) {
+        let made = allocations_in(|| {
+            std::hint::black_box(model.assign_template(std::hint::black_box(r)).expect("assign"));
+        });
+        assert_eq!(made, 0, "record {}: assignment made {made} allocations", r.id);
+    }
 }
